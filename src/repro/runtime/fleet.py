@@ -18,13 +18,14 @@ finish*, keyed by the spec's content hash — so a sweep killed at
 scenario 180/200 resumes with ``run_grid(..., resume=store)`` and only
 executes the missing twenty.
 
-Pool dispatch is *chunked*: specs are packed into per-task chunks
-balanced by expected cost (``chunk_size="auto"`` targets about
-``4 × workers`` tasks), so one pickle/IPC round-trip amortizes over
-many scenarios and a pool ``initializer`` pre-imports the registries
-and backends once per worker instead of once per task.  Grids of many
-small scenarios stop being dominated by dispatch overhead; results
-still stream to the store per scenario.
+Pool dispatch is *chunked*: specs are packed into per-task chunks of
+whole batch groups, balanced by expected cost (``chunk_size="auto"``
+targets about ``4 × workers`` tasks), so one pickle/IPC round-trip
+amortizes over many scenarios and a seed population reaches the
+batched engine whole; a pool ``initializer`` pre-imports the
+registries and backends once per worker instead of once per task.
+Grids of many small scenarios stop being dominated by dispatch
+overhead; results still stream to the store per scenario.
 
 Determinism: every spec carries its own integer seed (spawned
 independently by the grid), and results are returned in submission
@@ -615,40 +616,81 @@ def _pack_chunks(
     chunk_size: "int | str",
     workers: int,
 ) -> "list[list[tuple[int, ScenarioSpec]]]":
-    """Pack ``(index, spec)`` pairs into cost-balanced dispatch chunks.
+    """Pack ``(index, spec)`` pairs into group-aware dispatch chunks.
 
-    ``"auto"`` targets ``_AUTO_CHUNKS_PER_WORKER × workers`` chunks; an
-    explicit ``chunk_size`` is a *hard* upper bound on scenarios per
-    chunk (a full chunk stops accepting, whatever its cost — callers
-    cap chunk size to bound per-task memory and kill-loss granularity).
-    Packing is greedy longest-processing-time: specs sorted by
-    descending :func:`_spec_cost` land in the currently lightest chunk,
-    so heterogeneous budgets spread instead of stacking into one
-    straggler task.  Within a chunk, submission order is restored —
-    the store sees rows in a deterministic order per chunk.
+    The packing unit is a slice of one *batch group* — the specs
+    :func:`~repro.runtime.simulator.batched.run_scenario_batch` would
+    advance together (the same homogeneity key; every unbatchable spec
+    is a group of one) — so a seed population reaches the lockstep
+    engine whole instead of shredded across chunks:
+
+    1. ``"auto"`` targets ``_AUTO_CHUNKS_PER_WORKER × workers`` chunks,
+       an explicit ``chunk_size`` ``ceil(len / chunk_size)``; the
+       per-chunk *share* is the total :func:`_spec_cost` over that
+       count.
+    2. A group is split only when its cost exceeds the share, into
+       ``ceil(cost / share)`` near-equal contiguous slices, and never
+       below two specs a slice; an explicit ``chunk_size`` further
+       splits it into slices no larger than the cap (so ``1`` still
+       means per-scenario dispatch).
+    3. Slices are packed longest-processing-time first (descending
+       cost, then submission index) into the currently lightest chunk
+       with room — balanced by cost, not by count (the two-bar-charts
+       view: pack by height, not bar count).  ``chunk_size`` is a
+       *hard* cap: a slice that fits no open chunk opens another
+       rather than overflow (callers cap chunk size to bound per-task
+       memory and kill-loss granularity).
+
+    Within a chunk, submission order is restored, and the layout is a
+    pure function of the input — the store sees rows in a
+    deterministic order per chunk.
     """
+    from repro.runtime.simulator.batched import _group
+
+    if not indexed:
+        return []
     capacity = None
     if chunk_size == "auto":
         n_chunks = min(len(indexed), _AUTO_CHUNKS_PER_WORKER * max(1, workers))
     else:
         capacity = chunk_size
-        n_chunks = min(len(indexed), math.ceil(len(indexed) / chunk_size))
-    if n_chunks <= 1:
-        return [list(indexed)] if indexed else []
+        n_chunks = math.ceil(len(indexed) / capacity)
+    share = sum(_spec_cost(spec) for _, spec in indexed) / n_chunks
+
+    slices: list[tuple[float, list[tuple[int, ScenarioSpec]]]] = []
+    for members in _group([spec for _, spec in indexed]):
+        group = [indexed[i] for i in members]
+        cost = sum(_spec_cost(spec) for _, spec in group)
+        parts = max(1, min(math.ceil(cost / share), len(group) // 2))
+        if capacity is not None:
+            parts = max(parts, math.ceil(len(group) / capacity))
+        size, extra = divmod(len(group), parts)
+        start = 0
+        for p in range(parts):
+            stop = start + size + (p < extra)
+            piece = group[start:stop]
+            slices.append((sum(_spec_cost(spec) for _, spec in piece), piece))
+            start = stop
+
     chunks: list[list[tuple[int, ScenarioSpec]]] = [[] for _ in range(n_chunks)]
     heap = [(0.0, b) for b in range(n_chunks)]
-    heapq.heapify(heap)
-    # Sort by cost descending, submission index ascending — fully
-    # deterministic, so the chunk layout (and thus store write order
-    # within a chunk) never depends on dict/hash ordering.
-    for idx, spec in sorted(indexed, key=lambda p: (-_spec_cost(p[1]), p[0])):
-        load, b = heapq.heappop(heap)
-        chunks[b].append((idx, spec))
+    # Cost descending, submission index ascending: fully deterministic,
+    # never dependent on dict/hash ordering.
+    for cost, piece in sorted(slices, key=lambda s: (-s[0], s[1][0][0])):
+        full = []  # lighter chunks without room for this slice
+        while heap and capacity is not None and (
+                len(chunks[heap[0][1]]) + len(piece) > capacity):
+            full.append(heapq.heappop(heap))
+        if heap:
+            load, b = heapq.heappop(heap)
+        else:
+            load, b = 0.0, len(chunks)
+            chunks.append([])
+        chunks[b].extend(piece)
         if capacity is None or len(chunks[b]) < capacity:
-            # A chunk at explicit capacity leaves the heap for good;
-            # total capacity is >= the spec count by construction, so
-            # the heap never runs dry.
-            heapq.heappush(heap, (load + _spec_cost(spec), b))
+            heapq.heappush(heap, (load + cost, b))
+        for entry in full:
+            heapq.heappush(heap, entry)
     for chunk in chunks:
         chunk.sort(key=lambda p: p[0])
     return [c for c in chunks if c]
@@ -666,10 +708,12 @@ def _run_chunk(
     problem shape, models, machine kind and iteration budget — see
     :func:`~repro.runtime.simulator.batched.run_scenario_batch`) advance
     through one lockstep batched call instead of ``len(specs)`` solo
-    calls; everything unbatchable, and any batch that fails mid-flight,
+    calls; everything unbatchable, and any group the batch declines as
+    :class:`~repro.runtime.simulator.batched.LockstepIncompatible`,
     still goes through ``runner`` one spec at a time.  Results are
-    bit-identical either way.  ``jit`` forwards the compiled-kernel
-    switch (``None``: defer to ``REPRO_JIT``).
+    bit-identical either way; any other exception inside a batch turns
+    its group's rows into error rows.  ``jit`` forwards the
+    compiled-kernel switch (``None``: defer to ``REPRO_JIT``).
     """
     if batch and len(specs) > 1:
         from repro.runtime.simulator.batched import run_scenario_batch
@@ -690,7 +734,7 @@ def _execute_specs(
 ) -> "dict[int, ScenarioResult]":
     """Run ``(index, spec)`` pairs, invoking ``on_result`` as each finishes.
 
-    Pool executors dispatch cost-balanced *chunks* (one future per
+    Pool executors dispatch group-aware *chunks* (one future per
     chunk, see :func:`_pack_chunks`), so per-task pickle/IPC overhead
     amortizes over many scenarios; ``on_result`` still fires once per
     scenario, in completion order of the chunks.  The returned mapping
@@ -760,9 +804,12 @@ def run_fleet(
         Pool width cap (defaults to ``os.cpu_count()``).
     chunk_size:
         Scenarios per dispatched pool task.  ``"auto"`` (default)
-        packs cost-balanced chunks targeting about 4 tasks per worker;
-        an explicit int bounds the chunk size (``1`` restores per-task
-        dispatch).  Results are bit-identical either way.
+        targets about 4 tasks per worker, packing whole batch groups
+        (specs equal up to the seed) and splitting a group only when
+        its cost exceeds a chunk's share, into slices of at least two;
+        chunks are balanced by cost, not count.  An explicit int is a
+        hard cap on the chunk size (``1`` restores per-task dispatch).
+        Results are bit-identical either way (see :func:`_pack_chunks`).
     batch:
         Route homogeneous spec groups inside each chunk through the
         scenario-batched lockstep engine
@@ -913,8 +960,9 @@ def run_grid(
         Rows per trace chunk for ``keep_traces`` recording (default
         :attr:`~repro.core.trace.TraceStore.DEFAULT_CHUNK_SIZE`).
     chunk_size:
-        Scenarios per dispatched pool task (``"auto"``: cost-balanced
-        chunks, about 4 tasks per worker; ``1``: per-task dispatch).
+        Scenarios per dispatched pool task (``"auto"``: about 4 tasks
+        per worker of whole batch groups, balanced by cost; an int: a
+        hard cap, ``1`` meaning per-task dispatch — see :func:`run_fleet`).
     batch:
         Batch homogeneous spec groups through the lockstep engine (see
         :func:`run_fleet`); bit-identical, throughput only.  Forced off

@@ -61,9 +61,11 @@ Three invariants make the results *bit-identical* to solo runs:
 
 Batches are grouped by :attr:`ScenarioSpec.batch_key` (the canonical
 identity minus the seed), so every member shares problem shape, model
-ingredients, backend, budget and tolerance.  Anything unbatchable — and
-any batch that raises mid-flight — falls back to the solo runner, so
-batching can change throughput but never results.
+ingredients, backend, budget and tolerance.  Anything unbatchable, and
+any group the batch declines by name (:class:`LockstepIncompatible`),
+falls back to the solo runner, so batching can change throughput but
+never results.  Any other exception inside a batch is a fault in the
+fast path and fails loudly: the group's rows become error rows.
 """
 
 from __future__ import annotations
@@ -198,7 +200,13 @@ def _fast_key(spec: ScenarioSpec) -> "tuple[Any, ...]":
 
 
 def _group(specs: Sequence[ScenarioSpec]) -> "list[list[int]]":
-    """Indices of ``specs`` grouped by homogeneity key, order preserved."""
+    """Indices of ``specs`` grouped by homogeneity key, order preserved.
+
+    Batchable specs group by :func:`_fast_key`; every other spec is a
+    group of one.  This is the one grouping rule: the fleet's chunk
+    packer (:func:`repro.runtime.fleet._pack_chunks`) keeps these
+    groups whole, so a chunk hands this function whole groups.
+    """
     groups: dict[Any, list[int]] = {}
     order: list[Any] = []
     for i, spec in enumerate(specs):
@@ -220,12 +228,15 @@ def run_scenario_batch(
 
     Results come back in input order and are bit-identical (per
     scenario) to ``[solo(s) for s in specs]`` — groups of fewer than
-    two batchable specs, ineligible specs, and any group whose batch
-    raises run through ``solo`` (default
-    :func:`~repro.runtime.fleet.run_scenario`).  ``jit`` forwards the
-    compiled-kernel switch (``None`` defers to ``REPRO_JIT``; the
-    kernel only engages when numba is present and the resolve-time
-    bit-identity probe passes — see
+    two batchable specs, ineligible specs, and any group the batch
+    declines with :class:`LockstepIncompatible` run through ``solo``
+    (default :func:`~repro.runtime.fleet.run_scenario`).  Any other
+    exception is a fault in the fast path, not a rejection: it is
+    never retried solo, and every row of its group becomes an error
+    row carrying the exception ``repr``, as a crashed solo run's
+    would.  ``jit`` forwards the compiled-kernel switch (``None``
+    defers to ``REPRO_JIT``; the kernel only engages when numba is
+    present and the resolve-time bit-identity probe passes — see
     :mod:`repro.runtime.simulator.kernels`).  This is the unit the
     fleet's chunk dispatch routes through one worker task.
     """
@@ -237,13 +248,22 @@ def run_scenario_batch(
         group = [specs[i] for i in indices]
         results: "list[Any] | None" = None
         if len(group) >= 2 and batchable(group[0]):
+            t0 = time.perf_counter()
             try:
                 if group[0].kind == "engine":
                     results = _run_engine_batch(group, jit=jit)
                 else:
                     results = _run_lockstep_batch(group)
-            except Exception:  # noqa: BLE001 - solo is the behavioural oracle
+            except LockstepIncompatible:
                 results = None
+            except Exception as exc:  # noqa: BLE001 - reported per row, like run_scenario
+                from repro.runtime.fleet import ScenarioResult
+
+                wall = (time.perf_counter() - t0) / len(group)
+                results = [
+                    ScenarioResult(key=s.key, spec=s, error=repr(exc), wall_time=wall)
+                    for s in group
+                ]
         if results is None:
             results = [solo(s) for s in group]
         for i, r in zip(indices, results):

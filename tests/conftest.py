@@ -84,3 +84,40 @@ def quadratic_problem():
 @pytest.fixture
 def flow_network():
     return random_flow_network(12, arc_density=0.25, seed=8)
+
+
+@pytest.fixture()
+def count_runs(monkeypatch):
+    """Count actual scenario executions (resumed or cached rows must not run).
+
+    Executions happen through two routes: solo calls (via
+    ``_run_scenario_inner``) and batched lockstep groups (via
+    ``run_scenario_batch``, which never reaches the solo plumbing).
+    Both are counted; scenarios a batch hands back to the solo
+    fallback are counted once, by the batch wrapper.  In-process
+    executors only (serial, thread).
+    """
+    import repro.runtime.fleet as fleet_mod
+    import repro.runtime.simulator.batched as batched_mod
+
+    calls: list[str] = []
+    inner = fleet_mod._run_scenario_inner
+    batch = batched_mod.run_scenario_batch
+    in_batch = [False]
+
+    def counting(spec, **kwargs):
+        if not in_batch[0]:
+            calls.append(spec.key)
+        return inner(spec, **kwargs)
+
+    def counting_batch(specs, **kwargs):
+        calls.extend(s.key for s in specs)
+        in_batch[0] = True
+        try:
+            return batch(specs, **kwargs)
+        finally:
+            in_batch[0] = False
+
+    monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
+    monkeypatch.setattr(batched_mod, "run_scenario_batch", counting_batch)
+    return calls

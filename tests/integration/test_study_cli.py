@@ -240,19 +240,10 @@ class TestCacheFlags:
     """`--cache` / `--no-cache` / REPRO_SWEEP_CACHE on the CLI."""
 
     def test_cache_flag_makes_second_study_instant(self, study_file, tmp_path,
-                                                   capsys, monkeypatch):
-        import repro.runtime.fleet as fleet_mod
-
+                                                   capsys, count_runs):
         path, _ = study_file
         cache = str(tmp_path / "cache")
-        calls: list[str] = []
-        inner = fleet_mod._run_scenario_inner
-
-        def counting(spec, **kwargs):
-            calls.append(spec.key)
-            return inner(spec, **kwargs)
-
-        monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
+        calls = count_runs
         assert main(["study", "run", str(path), "--cache", cache,
                      "--out", str(tmp_path / "a")]) == 0
         first = len(calls)
@@ -263,20 +254,13 @@ class TestCacheFlags:
         assert len(calls) == first  # all four were cache hits
         assert _digest_from(capsys.readouterr().out) == d1
 
-    def test_no_cache_overrides_env(self, study_file, tmp_path, capsys, monkeypatch):
-        import repro.runtime.fleet as fleet_mod
+    def test_no_cache_overrides_env(self, study_file, tmp_path, capsys,
+                                    monkeypatch, count_runs):
         from repro.runtime.fleet import CACHE_ENV_VAR
 
         path, _ = study_file
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
-        calls: list[str] = []
-        inner = fleet_mod._run_scenario_inner
-
-        def counting(spec, **kwargs):
-            calls.append(spec.key)
-            return inner(spec, **kwargs)
-
-        monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
+        calls = count_runs
         assert main(["study", "run", str(path), "--no-cache",
                      "--out", str(tmp_path / "a")]) == 0
         assert main(["study", "run", str(path), "--no-cache",

@@ -5,14 +5,17 @@ advanced as ``(N, dim)`` populations by
 :mod:`repro.runtime.simulator.batched` produce results **bit-identical
 per scenario** to solo execution — engine batches against the exact
 backend, simulator batches against both event-loop twins — while
-anything the batch cannot take (stochastic machine timing, mixed
-shapes) falls back to solo without surfacing an error.
+anything the batch declines by name (:class:`LockstepIncompatible`:
+stochastic machine timing, faults, mixed shapes) falls back to solo
+without surfacing an error.  Any other exception inside a batch is a
+fault in the fast path and turns its group's rows into error rows.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.runtime.simulator.batched as batched_mod
 from repro.runtime.fleet import run_fleet, run_scenario
 from repro.runtime.simulator.batched import (
     LockstepIncompatible,
@@ -297,6 +300,34 @@ class TestFleetRouting:
         results = run_scenario_batch([good[0], bad, good[1]])
         assert results[1].error is not None
         assert results[0].error is None and results[2].error is None
+
+
+class TestFailLoud:
+    """Only a named rejection falls back to solo; any other fault shows."""
+
+    def test_batch_fault_becomes_error_rows(self, monkeypatch):
+        def boom(specs, jit=None):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(batched_mod, "_run_engine_batch", boom)
+        calls = []
+        specs = engine_specs(count=3)
+        results = run_scenario_batch(specs, solo=_spy_solo(calls))
+        assert calls == []  # never retried solo
+        assert [r.key for r in results] == [s.key for s in specs]
+        for r in results:
+            assert r.error == repr(RuntimeError("kernel exploded"))
+            assert not r.converged and r.iterations == 0
+
+    def test_declared_rejection_matches_solo(self, monkeypatch):
+        def decline(specs, jit=None):
+            raise LockstepIncompatible("declined for the test")
+
+        monkeypatch.setattr(batched_mod, "_run_engine_batch", decline)
+        specs = engine_specs(count=3, bound=2)
+        batch = run_scenario_batch(specs)
+        assert all(r.error is None for r in batch)
+        assert_identical([run_scenario(s) for s in specs], batch)
 
 
 GOLDEN_DIGEST = (

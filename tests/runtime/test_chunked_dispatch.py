@@ -13,12 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.fleet import (
+    _AUTO_CHUNKS_PER_WORKER,
     _pack_chunks,
     _run_chunk,
     run_fleet,
     run_grid,
     run_scenario,
 )
+from repro.runtime.simulator.batched import batchable
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
 
 
@@ -72,9 +74,11 @@ class TestPackChunks:
     def test_cost_balanced_not_count_balanced(self):
         # 2 heavy specs (10000 iterations) + 6 light ones (100): with 2
         # chunks, each heavy spec must land in its own chunk instead of
-        # both stacking into one straggler task.
+        # both stacking into one straggler task.  The heavy specs differ
+        # in problem size, so they are two batch groups, not one.
         heavy = [
-            ScenarioSpec(problem="jacobi", seed=s, max_iterations=10_000)
+            ScenarioSpec(problem="jacobi", problem_params={"n": 8 + s},
+                         seed=s, max_iterations=10_000)
             for s in range(2)
         ]
         light = [
@@ -115,6 +119,49 @@ class TestPackChunks:
         a = _pack_chunks(_indexed(specs), "auto", workers=3)
         b = _pack_chunks(_indexed(specs), "auto", workers=3)
         assert [[i for i, _ in c] for c in a] == [[i for i, _ in c] for c in b]
+
+
+class TestGroupAwarePacking:
+    """Chunks carry whole batch groups, or slices of at least two."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 8, 64])
+    @pytest.mark.parametrize("n_seeds", [5, 24])
+    def test_groups_reach_the_engine_whole_or_paired(self, workers, n_seeds):
+        specs = _grid(n_seeds=n_seeds, steerings=("cyclic", "random-subset"),
+                      max_iterations=40).expand()
+        chunks = _pack_chunks(_indexed(specs), "auto", workers=workers)
+        chunk_of = {i: c for c, chunk in enumerate(chunks) for i, _ in chunk}
+        groups: dict = {}
+        for i, spec in enumerate(specs):
+            assert batchable(spec)
+            groups.setdefault(spec.batch_key, []).append(i)
+        n_chunks = min(len(specs), _AUTO_CHUNKS_PER_WORKER * workers)
+        share = sum(s.max_iterations for s in specs) / n_chunks
+        for members in groups.values():
+            for i in members:
+                mates = [j for j in members
+                         if j != i and chunk_of[j] == chunk_of[i]]
+                assert mates, (workers, i)
+            if len(members) * specs[members[0]].max_iterations <= share:
+                assert len({chunk_of[i] for i in members}) == 1
+
+    def test_split_groups_stay_contiguous_and_balanced(self):
+        specs = _grid(n_seeds=32).expand()  # 2 groups of 32
+        chunks = _pack_chunks(_indexed(specs), "auto", workers=2)
+        assert len(chunks) == 8 and {len(c) for c in chunks} == {8}
+        members: dict = {}
+        for i, spec in enumerate(specs):
+            members.setdefault(spec.batch_key, []).append(i)
+        for chunk in chunks:
+            assert len({sp.batch_key for _, sp in chunk}) == 1
+            group = members[chunk[0][1].batch_key]
+            pos = [group.index(i) for i, _ in chunk]
+            assert pos == list(range(pos[0], pos[0] + len(chunk)))
+
+    def test_unbatchable_specs_pack_one_by_one(self):
+        specs = _grid(n_seeds=4, backends=("flexible",)).expand()
+        chunks = _pack_chunks(_indexed(specs), "auto", workers=2)
+        assert len(chunks) == len(specs)
 
 
 class TestChunkSizeValidation:
@@ -163,6 +210,22 @@ class TestChunkedBitIdentity:
         store = SweepStore(store_dir, create=False)
         assert len(store.completed()) == len(specs)
         assert store.digest() == fleet.digest()
+
+    def test_thread_mixed_grid_matches_serial_and_solo(self):
+        # Exact engine (batched), flexible engine (always solo) and a
+        # lockstep simulator (batched) in one grid on a thread pool.
+        engine = _grid(n_seeds=3, backends=("exact", "flexible")).expand()
+        sim = ScenarioGrid(
+            problems=(("jacobi", {"n": 8}),), kind="simulator",
+            machines=(("lockstep", {"n_processors": 4}),), n_seeds=3,
+            max_iterations=60, tol=1e-6,
+        ).expand()
+        specs = list(engine) + list(sim)
+        thread = run_fleet(specs, executor="thread", max_workers=2)
+        serial = run_fleet(specs, executor="serial")
+        solo = run_fleet(specs, executor="thread", max_workers=2, batch=False)
+        assert not thread.failures()
+        assert thread.digest() == serial.digest() == solo.digest()
 
     @pytest.mark.slow
     def test_process_chunked_matches_serial(self):

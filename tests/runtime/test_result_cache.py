@@ -11,8 +11,6 @@ holds for cached rows exactly as it does for resumed ones.
 
 from __future__ import annotations
 
-import pytest
-
 import repro.runtime.fleet as fleet_mod
 from repro.runtime.fleet import CACHE_ENV_VAR, run_grid
 from repro.runtime.sweep_store import SweepStore
@@ -29,39 +27,6 @@ def _grid(n_seeds: int = 2, **overrides) -> ScenarioGrid:
     )
     defaults.update(overrides)
     return ScenarioGrid(**defaults)
-
-
-@pytest.fixture()
-def count_runs(monkeypatch):
-    """Count actual scenario executions (cache hits must not execute).
-
-    Counts both execution routes — solo calls and batched lockstep
-    groups — without double-counting scenarios a batch hands back to
-    the solo fallback.
-    """
-    import repro.runtime.simulator.batched as batched_mod
-
-    calls: list[str] = []
-    inner = fleet_mod._run_scenario_inner
-    batch = batched_mod.run_scenario_batch
-    in_batch = [False]
-
-    def counting(spec, **kwargs):
-        if not in_batch[0]:
-            calls.append(spec.key)
-        return inner(spec, **kwargs)
-
-    def counting_batch(specs, **kwargs):
-        calls.extend(s.key for s in specs)
-        in_batch[0] = True
-        try:
-            return batch(specs, **kwargs)
-        finally:
-            in_batch[0] = False
-
-    monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
-    monkeypatch.setattr(batched_mod, "run_scenario_batch", counting_batch)
-    return calls
 
 
 class TestCacheHits:
