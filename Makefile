@@ -4,7 +4,7 @@
 PY ?= python
 PP := PYTHONPATH=src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-slow test-all lint bench-fleet sweep example-fleet example-faults examples doctest
+.PHONY: test test-slow test-all lint bench-fleet bench-pair sweep example-fleet example-faults examples doctest
 
 ## tier-1: the fast suite (slow-marked fleet stress tests are skipped)
 test:
@@ -31,6 +31,14 @@ lint:
 ## regenerate BENCH_fleet.json (scenarios/sec vs sequential baseline)
 bench-fleet:
 	$(PP) $(PY) -m pytest benchmarks/bench_fleet_throughput.py --benchmark-only -q -s
+
+## paired parent/change runs of perfbench (alternating order, one seed per pair):
+## make bench-pair PARENT=<rev> WORKLOAD=<w> PAIRS=10
+PARENT ?= HEAD
+WORKLOAD ?= store-roundtrip
+PAIRS ?= 10
+bench-pair:
+	$(PY) benchmarks/paired.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ## the acceptance-criteria grid: 2 problems x 2 delays x 2 policies x 3 seeds
 sweep:

@@ -141,13 +141,12 @@ def _execute_study(
         except FileNotFoundError:
             print(f"{prog}: no sweep store at {out_dir} to resume", file=sys.stderr)
             return 2
-        # The same completeness rule run_grid applies, so the banner
-        # and what actually re-executes cannot disagree.
-        done = sum(
-            1 for s in specs
-            if store.load_complete_result(s, require_trace=config.store.keep_traces)
-            is not None
+        # The same bulk completeness pass run_grid applies, so the
+        # banner and what actually re-executes cannot disagree.
+        complete = store.load_complete_results(
+            specs, require_trace=config.store.keep_traces
         )
+        done = sum(1 for s in specs if s.content_hash in complete)
         print(f"{prog}: resuming from {out_dir}: {done}/{len(specs)} "
               "scenarios already complete")
 

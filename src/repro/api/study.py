@@ -37,7 +37,7 @@ from repro.runtime.fleet import (
     run_grid,
 )
 from repro.runtime.sweep_store import SweepStore
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, select_shard
 
 __all__ = [
     "SolveOutcome",
@@ -210,6 +210,7 @@ class Study:
         if not isinstance(config, StudyConfig):
             config = StudyConfig.from_dict(config)
         self.config = config
+        self._specs: "tuple[StudyConfig, tuple[ScenarioSpec, ...]] | None" = None
 
     @classmethod
     def from_file(cls, path: "str | pathlib.Path") -> "Study":
@@ -222,7 +223,15 @@ class Study:
         return self.config.name
 
     def specs(self) -> tuple[ScenarioSpec, ...]:
-        return self.config.specs()
+        """The expanded scenario list, built once per config.
+
+        Later runs and resumes of the same study reuse the same spec
+        objects, and with them each spec's cached content hash.
+        """
+        cached = self._specs
+        if cached is None or cached[0] is not self.config:
+            cached = self._specs = (self.config, self.config.specs())
+        return cached[1]
 
     def __repr__(self) -> str:
         cfg = self.config
@@ -241,7 +250,7 @@ class Study:
         if shard is None:
             return self.specs()
         index, num_shards = shard
-        return self.config.to_grid().shard(num_shards, index)
+        return select_shard(self.specs(), num_shards, index)
 
     # -- execution -----------------------------------------------------
     def run(

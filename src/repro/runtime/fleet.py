@@ -937,7 +937,14 @@ def run_grid(
         silently re-run the whole sweep); with ``keep_traces``, rows
         whose trace file is missing are re-executed so the store ends
         up complete; resuming into a *different* ``store`` copies rows
-        and traces over.
+        and traces over.  The lookup is one streaming pass over the
+        store (:meth:`~repro.runtime.sweep_store.SweepStore.load_complete_results`:
+        the completed set once, rows decoded shard by shard, one
+        listing of ``traces/``), never one load per spec.  A resume
+        that executes nothing, copies in nothing and finds these
+        scenarios already in the manifest writes nothing: the
+        manifest, ``merge_log.json`` and ``fleet.json`` stay as they
+        are, byte for byte.
     cache:
         Cross-study result cache: a content-addressed store (path or
         :class:`~repro.runtime.sweep_store.SweepStore`) consulted *by
@@ -1022,23 +1029,31 @@ def run_grid(
     t0 = time.perf_counter()
 
     # Lookup order: the resume store first (it is this sweep's own
-    # history), then the cross-study cache.  Both apply the one
-    # completeness rule (load_complete_result), so a keep_traces run
-    # never accepts a traceless cached row.
+    # history), then the cross-study cache.  Each is read in one bulk
+    # pass under the one completeness rule (load_complete_results), so a
+    # keep_traces run never accepts a traceless cached row.
+    hashes = [spec.content_hash for spec in specs]
+    resumed: dict[str, ScenarioResult] = {}
+    if resume_store is not None:
+        resumed = resume_store.load_complete_results(specs, require_trace=keep_traces)
     cache_done: set[str] = cache_store.completed() if cache_store is not None else set()
+    cached: dict[str, ScenarioResult] = {}
+    if cache_store is not None:
+        cached = cache_store.load_complete_results(
+            [s for s, h in zip(specs, hashes) if h not in resumed and h in cache_done],
+            require_trace=keep_traces,
+        )
+    adopted = False  # rows copied into `sweep` from another store
     slots: dict[int, ScenarioResult] = {}
     to_run: list[tuple[int, ScenarioSpec]] = []
-    for idx, spec in enumerate(specs):
-        h = spec.content_hash
-        loaded = None
-        if resume_store is not None:
-            loaded = resume_store.load_complete_result(spec, require_trace=keep_traces)
-            if loaded is not None and resume_store is not sweep:
-                loaded = _adopt_row(resume_store, sweep, loaded)
-        if loaded is None and cache_store is not None and h in cache_done:
-            loaded = cache_store.load_complete_result(spec, require_trace=keep_traces)
-            if loaded is not None:
-                loaded = _adopt_row(cache_store, sweep, loaded)
+    for idx, (spec, h) in enumerate(zip(specs, hashes)):
+        loaded = resumed.get(h)
+        if loaded is not None and resume_store is not sweep:
+            loaded = _adopt_row(resume_store, sweep, loaded)
+            adopted = True
+        if loaded is None and h in cached:
+            loaded = _adopt_row(cache_store, sweep, cached[h])
+            adopted = True
         if loaded is None:
             to_run.append((idx, spec))
             continue
@@ -1052,9 +1067,18 @@ def run_grid(
             cache_done.add(h)
         slots[idx] = loaded
 
+    # A resume that runs nothing, adopts nothing and finds its scenarios
+    # already listed leaves the store as it is: rewriting the manifest
+    # would drop merge_log.json, and fleet.json would re-serialize every
+    # row only to say what the rows already say.
+    unchanged = (
+        sweep is not None and sweep is resume_store and not to_run
+        and not adopted and sweep.lists_scenarios(hashes)
+    )
     runner: Callable[[ScenarioSpec], ScenarioResult] = run_scenario
     if sweep is not None:
-        sweep.write_manifest(specs)
+        if not unchanged:
+            sweep.write_manifest(specs)
         if keep_traces:
             runner = functools.partial(
                 run_scenario,
@@ -1107,6 +1131,6 @@ def run_grid(
         executor=chosen,
         max_workers=workers,
     )
-    if sweep is not None:
+    if sweep is not None and not unchanged:
         sweep.write_fleet(fleet)
     return fleet

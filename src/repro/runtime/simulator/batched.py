@@ -994,12 +994,19 @@ def _run_lockstep_batch(specs: Sequence[ScenarioSpec]) -> "list[Any]":
     max_iterations = head.max_iterations
     tol = head.tol
 
-    ops_list = _build_problems(specs)
+    # Admit before building: the head's problem and machine plan decide
+    # a stochastic machine's rejection, so the rest of the group is only
+    # constructed once the plan is known to be lockstep.
+    ops_list = list(_build_problems(specs[:1]))
     n = ops_list[0].n_components
+    procs, channels = registry.make_machine(
+        head.machine, n, _spawn_seeds(head, 4)[3], **head.machine_params
+    )
+    plans: list[_LockstepPlan] = [lockstep_plan(procs, channels)]
+    ops_list += _build_problems(specs[1:])
     share_machine = head.machine in _DETERMINISTIC_MACHINES
-    plans: list[_LockstepPlan] = []
-    for spec in specs:
-        if share_machine and plans:
+    for spec in specs[1:]:
+        if share_machine:
             plans.append(plans[0])
         else:
             procs, channels = registry.make_machine(

@@ -190,6 +190,23 @@ def _atomic_savez(path: pathlib.Path, arrays: "dict[str, np.ndarray]") -> None:
     os.replace(tmp, path)
 
 
+def _is_complete(trace_path: "str | None", traced: bool, require_trace: bool) -> bool:
+    """THE completeness rule of a persisted row.
+
+    Without ``require_trace`` a persisted row is complete.  With it, the
+    row must also account for its trace: ``trace_path`` unset means the
+    row predates trace-keeping (re-run to record one); a set-but-empty
+    ``trace_path`` means the run kept traces and the backend legitimately
+    produced none (complete — re-running could never help); a non-empty
+    ``trace_path`` needs the store's trace file (``traced``) present.
+    """
+    if not require_trace:
+        return True
+    if trace_path is None:
+        return False
+    return trace_path == "" or traced
+
+
 def _payload_from_doc(doc: "dict[str, Any]") -> "dict[str, Any]":
     """Digest payload straight from a persisted row document.
 
@@ -443,10 +460,9 @@ class SweepStore:
             raise FileNotFoundError(
                 f"no sweep store at {self.root} (missing {_MANIFEST})"
             )
-        # Satellite of the scale refactor: the completed-hash set is
-        # consulted once per scenario on the resume hot path, so it is
-        # computed once and maintained by write_result/merge instead of
-        # re-scanning the directory/index per call.
+        # The completed-hash set is computed once and maintained by
+        # write_result/merge instead of re-scanning the directory or
+        # batch indexes per call.
         self._completed: "set[str] | None" = None
         # hash -> (batch path, row index) per shard, for random access.
         self._shard_maps: "dict[str, dict[str, tuple[pathlib.Path, int]]]" = {}
@@ -635,6 +651,20 @@ class SweepStore:
         if self.layout == "flat":
             return [s["hash"] for s in self.read_manifest()["scenarios"]]
         return [e["hash"] for e in self._manifest_entries()]
+
+    def lists_scenarios(self, hashes: "Sequence[str]") -> bool:
+        """Whether the manifest already lists exactly these scenarios.
+
+        Compared as a multiset, not a sequence: a merged store lists its
+        shards one after the other, while the study resuming it lists
+        the grid's order, and neither the digest nor the row set depends
+        on which.  ``False`` when the store has no manifest.
+        """
+        try:
+            listed = self.manifest_hashes()
+        except FileNotFoundError:
+            return False
+        return sorted(listed) == sorted(hashes)
 
     # -- per-scenario rows ---------------------------------------------
     def completed(self) -> "set[str]":
@@ -905,8 +935,10 @@ class SweepStore:
         """All of one shard's row documents (logs overlay batches)."""
         docs: "dict[str, dict[str, Any]]" = {}
         for bp in self._batch_paths(prefix):
-            for i, h in enumerate(self._batch_hashes(bp)):
-                docs[h] = self._doc_from_batch(bp, i)
+            # Decode the columns first, so the hashes come from the same
+            # read instead of a second open of the npz.
+            for i, h in enumerate(self._batch_cols(bp)["hash"]):
+                docs[h.decode()] = self._doc_from_batch(bp, i)
         docs.update(self._log_docs(prefix))
         return docs
 
@@ -942,25 +974,40 @@ class SweepStore:
     ) -> "ScenarioResult | None":
         """The persisted row for ``spec`` iff it counts as *complete*.
 
-        This is THE completeness rule — ``run_grid``'s resume loop and
-        the CLI's "N/M already complete" banner both call it, so they
-        cannot drift apart.  Without ``require_trace`` a persisted row
-        is complete.  With it, a row is additionally required to
-        account for its trace: ``trace_path`` unset means the row
-        predates trace-keeping (re-run to record one); a set-but-empty
-        ``trace_path`` means the run kept traces and the backend
-        legitimately produced none (complete — re-running could never
-        help); a non-empty ``trace_path`` must have its file present.
+        One spec's random-access read under the same rule
+        (:func:`_is_complete`) as the bulk :meth:`load_complete_results`
+        that ``run_grid``'s resume and cache lookups and the CLI's
+        "N/M already complete" banner use, so they cannot drift apart.
         """
         row = self.load_result(spec)
         if row is None:
             return None
-        if require_trace:
-            if row.trace_path is None:
-                return None
-            if row.trace_path and not self.has_trace(spec.content_hash):
-                return None  # dangling reference
+        traced = require_trace and self.has_trace(spec.content_hash)
+        if not _is_complete(row.trace_path, traced, require_trace):
+            return None
         return row
+
+    def load_complete_results(
+        self, specs: "Iterable[ScenarioSpec]", *, require_trace: bool = False
+    ) -> "dict[str, ScenarioResult]":
+        """The complete rows among ``specs``, as ``{content_hash: result}``.
+
+        The bulk twin of :meth:`load_complete_result`, in one pass: the
+        completed set is taken once, the wanted rows decode shard by
+        shard through :meth:`iter_row_docs` (global hash order, every
+        batch read once), and trace presence comes from one listing of
+        ``traces/`` — never one lookup per scenario.
+        """
+        from repro.runtime.fleet import ScenarioResult
+
+        done = self.completed()
+        wanted = {h for h in (s.content_hash for s in specs) if h in done}
+        traced = self._traced_hashes() if require_trace and wanted else set()
+        return {
+            h: ScenarioResult.from_json_dict(doc)
+            for h, doc in self.iter_row_docs(wanted)
+            if _is_complete(doc.get("trace_path"), h in traced, require_trace)
+        }
 
     def discard_result(self, content_hash: str) -> None:
         """Remove one persisted row (both layouts; missing rows no-op).
@@ -1006,6 +1053,12 @@ class SweepStore:
     # -- traces --------------------------------------------------------
     def has_trace(self, content_hash: str) -> bool:
         return self.trace_path(content_hash).is_file()
+
+    def _traced_hashes(self) -> "set[str]":
+        """Hashes with a trace file, from one listing of ``traces/``."""
+        if not self.traces_dir.is_dir():
+            return set()
+        return {p.stem for p in self.traces_dir.glob("*.npz")}
 
     def load_trace(self, spec_or_hash: "ScenarioSpec | str") -> IterationTrace:
         """Materialize a persisted trace by spec or content hash."""
@@ -1181,10 +1234,7 @@ class SweepStore:
                     seen.add(entry["hash"])
                     scenarios.append(entry)
             manifest_set = {e["hash"] for e in shard_manifest}
-            src_traced = (
-                {p.stem for p in shard.traces_dir.glob("*.npz")}
-                if shard.traces_dir.is_dir() else set()
-            )
+            src_traced = shard._traced_hashes()
             for unit_prefix, fp, unit_hashes in shard._merge_units(manifest_set):
                 live_fps.add(fp)
                 if fp in merged_fps:
@@ -1271,10 +1321,7 @@ class SweepStore:
         rows — fingerprints differently and gets re-merged.
         """
         present = self.completed() & manifest_set
-        traced = (
-            {p.stem for p in self.traces_dir.glob("*.npz")}
-            if self.traces_dir.is_dir() else set()
-        )
+        traced = self._traced_hashes()
         if self.layout == "flat":
             groups = {"": sorted(present)} if present else {}
         else:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.scenarios import registry
 
-__all__ = ["ScenarioSpec", "ScenarioGrid"]
+__all__ = ["ScenarioSpec", "ScenarioGrid", "select_shard"]
 
 _KINDS = ("engine", "simulator")
 #: Scenario kind -> execution-backend kind in the runtime registry.
@@ -254,9 +254,20 @@ class ScenarioSpec:
         so a :class:`~repro.runtime.sweep_store.SweepStore` can key
         per-scenario results by it and a resumed sweep recognizes
         completed work regardless of grid enumeration order.
+
+        Computed once per instance and kept in the instance ``__dict__``
+        (outside the dataclass fields, so equality, ``repr`` and
+        ``dataclasses.replace`` never see it; a pickled spec carries
+        it along).  It stays a plain property, not a
+        ``functools.cached_property``, so wrappers that replace
+        properties on the class keep working.
         """
-        doc = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(doc.encode()).hexdigest()[:16]
+        cached = self.__dict__.get("_content_hash")
+        if cached is None:
+            doc = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(doc.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_content_hash", cached)
+        return cached
 
     @property
     def batch_key(self) -> str:
@@ -460,15 +471,25 @@ class ScenarioGrid:
         (:meth:`~repro.runtime.sweep_store.SweepStore.merge`)
         reproduces the single-host store's digest bit for bit.
         """
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if not 0 <= index < num_shards:
-            raise ValueError(
-                f"shard index must be in [0, {num_shards}), got {index}"
-            )
-        specs = self.expand()
-        ranked = sorted(specs, key=lambda s: s.content_hash)
-        mine = {s.content_hash for s in ranked[index::num_shards]}
-        # Keep submission (enumeration) order within the shard so the
-        # shard's manifest reads like a contiguous slice of the study.
-        return tuple(s for s in specs if s.content_hash in mine)
+        return select_shard(self.expand(), num_shards, index)
+
+
+def select_shard(
+    specs: "tuple[ScenarioSpec, ...]", num_shards: int, index: int
+) -> tuple[ScenarioSpec, ...]:
+    """Shard ``index`` of an expanded spec list (see :meth:`ScenarioGrid.shard`).
+
+    Callers that already hold the expanded specs (``Study`` keeps them)
+    shard them here without expanding the grid again.
+    """
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    if not 0 <= index < num_shards:
+        raise ValueError(
+            f"shard index must be in [0, {num_shards}), got {index}"
+        )
+    ranked = sorted(specs, key=lambda s: s.content_hash)
+    mine = {s.content_hash for s in ranked[index::num_shards]}
+    # Keep submission (enumeration) order within the shard so the
+    # shard's manifest reads like a contiguous slice of the study.
+    return tuple(s for s in specs if s.content_hash in mine)

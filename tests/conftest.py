@@ -121,3 +121,23 @@ def count_runs(monkeypatch):
     monkeypatch.setattr(fleet_mod, "_run_scenario_inner", counting)
     monkeypatch.setattr(batched_mod, "run_scenario_batch", counting_batch)
     return calls
+
+
+@pytest.fixture
+def store_files():
+    """Snapshot a store directory as ``{relative path: bytes}``.
+
+    Two snapshots compare equal iff the same files exist with the same
+    contents, so a test can assert that an operation wrote nothing.
+    """
+
+    def snapshot(root) -> "dict[str, bytes]":
+        import pathlib
+
+        root = pathlib.Path(root)
+        return {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()
+        }
+
+    return snapshot

@@ -191,6 +191,24 @@ class TestLockstepBatchBitIdentity:
         assert all(r.error is None for r in batch)
         assert_identical([run_scenario(s) for s in specs], batch)
 
+    def test_rejection_builds_only_the_head_problem(self, monkeypatch):
+        # Admission is decided from the head's machine plan, so a
+        # rejected group never constructs the rest of its problems.
+        built: list[int] = []
+        build = batched_mod._build_problems
+
+        def counting(specs):
+            built.append(len(specs))
+            return build(specs)
+
+        monkeypatch.setattr(batched_mod, "_build_problems", counting)
+        with pytest.raises(LockstepIncompatible):
+            batched_mod._run_lockstep_batch(sim_specs(machine="uniform", count=4))
+        assert built == [1]
+        built.clear()
+        batched_mod._run_lockstep_batch(sim_specs(count=4))
+        assert built == [1, 3]
+
 
 class TestLockstepPlanValidation:
     def _procs(self, **overrides):

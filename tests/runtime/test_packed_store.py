@@ -326,6 +326,37 @@ class TestMergeEdgeCases:
         )
 
 
+class TestOnePassResume:
+    def test_resume_reads_each_batch_once_and_writes_nothing(
+        self, tmp_path, monkeypatch, store_files, count_runs
+    ):
+        specs = list(_grid(n_seeds=20).expand())  # 40 rows
+        store = SweepStore(tmp_path / "p", prefix_len=0, batch_rows=2)
+        cold = run_grid(specs, store=store, executor="serial")
+        batches = store._batch_paths("")
+        assert len(batches) > 16  # more batches than the decode LRU holds
+        before = store_files(tmp_path / "p")
+        count_runs.clear()
+
+        opened: list[str] = []
+        real_load = np.load
+
+        def counting_load(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        resumed = run_grid(specs, resume=tmp_path / "p", executor="serial")
+        monkeypatch.undo()
+
+        assert count_runs == []
+        assert store_files(tmp_path / "p") == before
+        assert resumed.digest() == cold.digest()
+        # One listing of the completed set plus one decode per batch.
+        assert len(opened) <= 2 * len(batches)
+        assert max(opened.count(str(bp)) for bp in batches) <= 2
+
+
 class TestMigrate:
     def test_migrate_preserves_digest_and_rows(self, tmp_path):
         rows = _synth_rows(20)

@@ -199,6 +199,28 @@ class TestMergeMechanics:
         assert fleet.scenario_count == grid.size
 
 
+    def test_noop_resume_of_merged_store_changes_no_byte(
+        self, tmp_path, count_runs, store_files
+    ):
+        grid = _grid(n_seeds=2)
+        single = run_grid(grid.expand(), store=tmp_path / "single", executor="serial")
+        for i in range(2):
+            run_grid(grid.shard(2, i), store=tmp_path / f"s{i}", executor="serial")
+        merged_dir = tmp_path / "merged"
+        SweepStore(merged_dir).merge(tmp_path / "s0", tmp_path / "s1")
+        before = store_files(merged_dir)
+        assert "merge_log.json" in before
+        count_runs.clear()
+
+        # The grid lists its scenarios in enumeration order, the merged
+        # manifest shard by shard: the same scenarios, so nothing is
+        # rewritten.
+        resumed = run_grid(grid.expand(), resume=merged_dir, executor="serial")
+        assert count_runs == []
+        assert store_files(merged_dir) == before
+        assert resumed.digest() == single.digest()
+        assert SweepStore(merged_dir, create=False).digest() == single.digest()
+
 @pytest.mark.slow
 class TestTwoShardAcceptance:
     """The nightly acceptance bar: a realistic two-host sweep, one shard

@@ -95,6 +95,38 @@ class TestContentHash:
         assert back.content_hash == spec.content_hash
 
 
+class TestContentHashCache:
+    def test_hashed_once_per_instance(self, monkeypatch):
+        spec = ScenarioSpec(problem="jacobi", seed=3)
+        calls = []
+        canonical = ScenarioSpec.canonical
+        monkeypatch.setattr(ScenarioSpec, "canonical",
+                            lambda self: calls.append(1) or canonical(self))
+        first = spec.content_hash
+        assert spec.content_hash == first
+        assert len(calls) == 1
+
+    def test_stays_a_plain_property(self):
+        # Wrappers that replace properties on the class (the layer
+        # tracer) must keep seeing a property, not a descriptor that
+        # turns into a bound method.
+        assert type(ScenarioSpec.__dict__["content_hash"]) is property
+
+    def test_equality_pickle_and_replace_unaffected(self):
+        import pickle
+
+        spec = ScenarioSpec(problem="jacobi", seed=3)
+        fresh = ScenarioSpec(problem="jacobi", seed=3)
+        h = spec.content_hash
+        assert spec == fresh and repr(spec) == repr(fresh)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and clone.content_hash == h
+        other = dataclasses.replace(spec, seed=4)
+        assert other.content_hash == ScenarioSpec(problem="jacobi", seed=4).content_hash
+        assert other.content_hash != h
+        assert dataclasses.asdict(spec) == dataclasses.asdict(fresh)
+
+
 class TestSweepStoreBasics:
     def test_write_and_load_result_roundtrip(self, tmp_path):
         store = SweepStore(tmp_path / "s")
@@ -331,6 +363,113 @@ class TestResume:
         for spec in big:
             store.write_result(run_scenario(spec))
         assert store.fleet_result().scenario_count == 4  # not the stale 2
+
+
+class TestOnePassResume:
+    """A resume is one read of the store, and writes nothing when nothing ran."""
+
+    @pytest.mark.parametrize("layout", ["packed", "flat"])
+    @pytest.mark.parametrize("keep_traces", [False, True])
+    def test_noop_resume_changes_no_byte(
+        self, tmp_path, count_runs, store_files, layout, keep_traces
+    ):
+        specs = list(_grid(n_seeds=3).expand())
+        store = SweepStore(tmp_path / "s", layout=layout)
+        cold = run_grid(specs, store=store, keep_traces=keep_traces,
+                        executor="serial")
+        before = store_files(tmp_path / "s")
+        assert "fleet.json" in before
+        count_runs.clear()
+
+        resumed = run_grid(specs, resume=tmp_path / "s",
+                           keep_traces=keep_traces, executor="serial")
+        assert count_runs == []
+        assert store_files(tmp_path / "s") == before
+        assert resumed.digest() == cold.digest()
+        assert SweepStore(tmp_path / "s", create=False).digest() == cold.digest()
+        assert [r.key for r in resumed.results] == [s.key for s in specs]
+
+    def test_partial_resume_rewrites_manifest(self, tmp_path, count_runs):
+        specs = list(_grid(n_seeds=3).expand())
+        store = SweepStore(tmp_path / "s")
+        run_grid(specs[:4], store=store, executor="serial")
+        count_runs.clear()
+        run_grid(specs, resume=store, executor="serial")
+        assert len(count_runs) == len(specs) - 4
+        assert store.manifest_hashes() == [s.content_hash for s in specs]
+        fleet = FleetResult.from_json((tmp_path / "s" / "fleet.json").read_text())
+        assert fleet.scenario_count == len(specs)
+
+    def test_resume_with_other_specs_rewrites_manifest(self, tmp_path, count_runs):
+        specs = list(_grid(n_seeds=3).expand())
+        store = SweepStore(tmp_path / "s")
+        run_grid(specs, store=store, executor="serial")
+        count_runs.clear()
+        # Every row of the subset is complete, so nothing runs, but the
+        # store now describes a different sweep.
+        run_grid(specs[:2], resume=store, executor="serial")
+        assert count_runs == []
+        assert store.manifest_hashes() == [s.content_hash for s in specs[:2]]
+        assert store.fleet_result().scenario_count == 2
+
+    @pytest.mark.parametrize("layout", ["packed", "flat"])
+    def test_bulk_rule_equals_per_spec_rule(self, tmp_path, layout):
+        specs = list(_grid(n_seeds=4).expand())  # 8 scenarios
+        store = SweepStore(tmp_path / "s", layout=layout, batch_rows=3)
+        store.write_manifest(specs)
+        store.traces_dir.mkdir(parents=True, exist_ok=True)
+        kinds = ["missing", "none", "empty", "dangling", "traced"]
+        for i, spec in enumerate(specs):
+            kind = kinds[i % len(kinds)]
+            if kind == "missing":
+                continue
+            path = {"none": None, "empty": ""}.get(kind, str(store.trace_path(spec.content_hash)))
+            store.write_result(dataclasses.replace(run_scenario(spec), trace_path=path))
+            if kind == "traced":
+                store.trace_path(spec.content_hash).write_bytes(b"npz")
+        store.flush()
+        for require_trace in (False, True):
+            bulk = store.load_complete_results(specs, require_trace=require_trace)
+            single = {
+                s.content_hash: r for s in specs
+                if (r := store.load_complete_result(s, require_trace=require_trace))
+                is not None
+            }
+            assert bulk.keys() == single.keys()
+            assert all(bulk[h] == single[h] for h in bulk)
+        # The mix covers every branch of the rule.
+        assert len(store.load_complete_results(specs)) == 6
+        assert len(store.load_complete_results(specs, require_trace=True)) == 3
+
+    def test_cli_banner_counts_what_run_grid_skips(self, tmp_path, capsys, count_runs):
+        from repro.__main__ import main
+        from repro.api import SolverRef, StoreSpec, StudyConfig
+
+        out = tmp_path / "store"
+        cfg = StudyConfig(
+            name="banner",
+            problems=(("jacobi", {"n": 8}),),
+            solver=SolverRef(max_iterations=80),
+            delays=("zero", "uniform"),
+            n_seeds=3,
+            store=StoreSpec(out=str(out)),
+            execution={"executor": "serial"},
+        )
+        path = tmp_path / "study.toml"
+        path.write_text(cfg.to_toml())
+        assert main(["study", "run", str(path)]) == 0
+        store = SweepStore(out, create=False)
+        for spec in cfg.specs()[:2]:
+            store.discard_result(spec.content_hash)
+        capsys.readouterr()
+        count_runs.clear()
+
+        assert main(["study", "resume", str(path)]) == 0
+        banner = [ln for ln in capsys.readouterr().out.splitlines()
+                  if "already complete" in ln]
+        done, total = banner[0].rsplit(": ", 1)[1].split()[0].split("/")
+        assert int(total) == cfg.size
+        assert int(done) == cfg.size - len(count_runs) == cfg.size - 2
 
 
 @pytest.mark.slow
