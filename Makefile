@@ -34,11 +34,9 @@ bench-fleet:
 
 ## paired parent/change runs of perfbench (alternating order, one seed per pair):
 ## make bench-pair PARENT=<rev> WORKLOAD=<w> PAIRS=10
-PARENT ?= HEAD
-WORKLOAD ?= store-roundtrip
-PAIRS ?= 10
 bench-pair:
-	$(PY) benchmarks/paired.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
+	$(if $(PARENT),,$(error PARENT=<rev> is required))
+	$(PY) benchmarks/paired.py --parent $(PARENT) $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(PAIRS),--pairs $(PAIRS))
 
 ## the acceptance-criteria grid: 2 problems x 2 delays x 2 policies x 3 seeds
 sweep:

@@ -3,16 +3,16 @@
 Usage, from the root of a checkout::
 
     python3 benchmarks/paired.py --parent REV [--workload NAME] [--pairs 10]
-                                 [--seconds S] [--seed0 N] [--workdir DIR]
+                                 [--seed0 N] [--workdir DIR]
 
 ``REV`` is exported with ``git archive`` into a temporary directory
 (removed afterwards; no worktree is registered, so nothing is left to
 prune).  Each pair then runs ``perfbench/run.py --trace 0`` once from
 that export and once from this working tree, uncommitted changes
-included, at the same seed (``seed0 + pair``).  Which side runs first alternates from pair to pair,
-so a drift of the host's speed during the session falls on both sides
-alike.  ``--seconds`` defaults to the ``run_seconds`` of
-``BENCHMARK.json``.
+included, at the same seed (``seed0 + pair``) and at the ``run_seconds``
+of ``BENCHMARK.json``.  Which side runs first alternates from pair to
+pair, so a drift of the host's speed during the session falls on both
+sides alike.
 
 For every end-to-end metric the script prints the change's wins (pairs
 where it is better in the metric's direction), both medians and both
@@ -107,12 +107,12 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--workload", default="store-roundtrip",
                         choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     parser.add_argument("--seed0", type=int, default=1,
                         help="seed of the first pair; pair i runs at seed0 + i")
     parser.add_argument("--workdir", default=None,
                         help="directory for the parent export (default: the system temp dir)")
     args = parser.parse_args(argv)
+    seconds = float(bench["run_seconds"])
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
@@ -124,13 +124,13 @@ def main(argv: "list[str] | None" = None) -> int:
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(sides[side], args.workload, seed, args.seconds))
+                runs[side].append(run_once(sides[side], args.workload, seed, seconds))
             print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first) done",
                   flush=True)
 
     rows = compare(runs["parent"], runs["change"], bench["end_to_end"])
     print(f"\n{args.workload}: change ({ROOT}) vs parent {args.parent}, "
-          f"{args.pairs} pairs at {args.seconds:g} s, seeds {args.seed0}.."
+          f"{args.pairs} pairs at {seconds:g} s, seeds {args.seed0}.."
           f"{args.seed0 + args.pairs - 1}")
     print(f"  {'metric':16s} {'wins':>6s} {'parent med':>11s} {'change med':>11s} "
           f"{'parent iqr':>11s} {'change iqr':>11s}  verdict")

@@ -942,9 +942,12 @@ def run_grid(
         the completed set once, rows decoded shard by shard, one
         listing of ``traces/``), never one load per spec.  A resume
         that executes nothing, copies in nothing and finds these
-        scenarios already in the manifest writes nothing: the
-        manifest, ``merge_log.json`` and ``fleet.json`` stay as they
-        are, byte for byte.
+        scenarios already in the manifest, in this order, writes
+        nothing: the manifest, ``merge_log.json`` and ``fleet.json``
+        stay as they are, byte for byte.  The same scenarios in
+        another order (a merged store lists its shards one after the
+        other) rewrite the manifest and ``fleet.json`` once, so the
+        store reads back in the resumed fleet's order.
     cache:
         Cross-study result cache: a content-addressed store (path or
         :class:`~repro.runtime.sweep_store.SweepStore`) consulted *by
@@ -1068,9 +1071,11 @@ def run_grid(
         slots[idx] = loaded
 
     # A resume that runs nothing, adopts nothing and finds its scenarios
-    # already listed leaves the store as it is: rewriting the manifest
-    # would drop merge_log.json, and fleet.json would re-serialize every
-    # row only to say what the rows already say.
+    # already listed in this order leaves the store as it is: rewriting
+    # the manifest would drop merge_log.json, and fleet.json would
+    # re-serialize every row only to say what the rows already say.  A
+    # store listing them in another order (a merged one) is rewritten
+    # once, so its readers see the resumed fleet's row order.
     unchanged = (
         sweep is not None and sweep is resume_store and not to_run
         and not adopted and sweep.lists_scenarios(hashes)

@@ -653,18 +653,18 @@ class SweepStore:
         return [e["hash"] for e in self._manifest_entries()]
 
     def lists_scenarios(self, hashes: "Sequence[str]") -> bool:
-        """Whether the manifest already lists exactly these scenarios.
+        """Whether the manifest already lists these scenarios, in this order.
 
-        Compared as a multiset, not a sequence: a merged store lists its
-        shards one after the other, while the study resuming it lists
-        the grid's order, and neither the digest nor the row set depends
-        on which.  ``False`` when the store has no manifest.
+        Order counts: :meth:`fleet_result` stitches rows in manifest
+        order, so a store listing the same scenarios in another order
+        (a merged store lists its shards one after the other) would
+        hand its readers rows in an order the resumed fleet does not
+        have.  ``False`` when the store has no manifest.
         """
         try:
-            listed = self.manifest_hashes()
+            return self.manifest_hashes() == list(hashes)
         except FileNotFoundError:
             return False
-        return sorted(listed) == sorted(hashes)
 
     # -- per-scenario rows ---------------------------------------------
     def completed(self) -> "set[str]":
@@ -686,8 +686,9 @@ class SweepStore:
             else:
                 comp: "set[str]" = set()
                 for prefix in self._shard_prefixes():
-                    for bp in self._batch_paths(prefix):
-                        comp.update(self._batch_hashes(bp))
+                    # The shard map reads the same hash members the set
+                    # needs, so building it here costs no extra read.
+                    comp.update(self._shard_map(prefix))
                     for lp in self._log_paths(prefix):
                         comp.add(lp.stem)
                 self._completed = comp
@@ -931,15 +932,28 @@ class SweepStore:
             p.stem: json.loads(p.read_text()) for p in self._log_paths(prefix)
         }
 
-    def _shard_docs(self, prefix: str) -> "dict[str, dict[str, Any]]":
-        """All of one shard's row documents (logs overlay batches)."""
+    def _shard_docs(
+        self, prefix: str, wanted: "set[str]"
+    ) -> "dict[str, dict[str, Any]]":
+        """The ``wanted`` row documents of one shard (logs overlay batches).
+
+        Only the batches that hold a wanted row decode, each once and in
+        batch order: the hash-to-batch map comes from the hash members
+        alone, so a sparse lookup in a large store never decodes a
+        whole shard.
+        """
+        logs = self._log_docs(prefix)
+        where = self._shard_map(prefix)
+        need = {where[h][0] for h in wanted if h in where and h not in logs}
         docs: "dict[str, dict[str, Any]]" = {}
         for bp in self._batch_paths(prefix):
-            # Decode the columns first, so the hashes come from the same
-            # read instead of a second open of the npz.
+            if bp not in need:
+                continue
             for i, h in enumerate(self._batch_cols(bp)["hash"]):
-                docs[h.decode()] = self._doc_from_batch(bp, i)
-        docs.update(self._log_docs(prefix))
+                h = h.decode()
+                if h in wanted:
+                    docs[h] = self._doc_from_batch(bp, i)
+        docs.update(logs)
         return docs
 
     # -- row loading ---------------------------------------------------
@@ -994,9 +1008,10 @@ class SweepStore:
 
         The bulk twin of :meth:`load_complete_result`, in one pass: the
         completed set is taken once, the wanted rows decode shard by
-        shard through :meth:`iter_row_docs` (global hash order, every
-        batch read once), and trace presence comes from one listing of
-        ``traces/`` — never one lookup per scenario.
+        shard through :meth:`iter_row_docs` (global hash order; only
+        the batches holding a wanted row decode, each once), and trace
+        presence comes from one listing of ``traces/`` — never one
+        lookup per scenario.
         """
         from repro.runtime.fleet import ScenarioResult
 
@@ -1090,7 +1105,8 @@ class SweepStore:
         Scope defaults to the manifest (falling back to every row on
         manifest-less stores).  Packed stores stream one shard at a
         time — sorted prefixes of sorted in-prefix hashes *is* the
-        global hash order, so peak memory is one shard's documents.
+        global hash order, so peak memory is one shard's documents —
+        and decode only the batches that hold a row in scope.
         """
         scope = self._scope(hashes)
         if self.layout == "flat":
@@ -1101,7 +1117,7 @@ class SweepStore:
             return
         by_prefix = self._scope_by_prefix(scope)
         for prefix in sorted(by_prefix):
-            docs = self._shard_docs(prefix)
+            docs = self._shard_docs(prefix, set(by_prefix[prefix]))
             for h in by_prefix[prefix]:
                 doc = docs.get(h)
                 if doc is not None:
@@ -1388,7 +1404,7 @@ class SweepStore:
                 if path.is_file():
                     docs[h] = json.loads(path.read_text())
             return docs
-        return self._shard_docs(prefix)
+        return self._shard_docs(prefix, hashes)
 
     def _read_merge_log(self) -> "set[str]":
         path = self.root / _MERGE_LOG

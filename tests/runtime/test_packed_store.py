@@ -356,6 +356,28 @@ class TestOnePassResume:
         assert len(opened) <= 2 * len(batches)
         assert max(opened.count(str(bp)) for bp in batches) <= 2
 
+    def test_sparse_lookup_decodes_only_batches_it_needs(self, tmp_path, monkeypatch):
+        specs = list(_grid(n_seeds=20).expand())  # 40 rows
+        run_grid(specs, store=SweepStore(tmp_path / "p", prefix_len=0, batch_rows=2),
+                 executor="serial")
+        store = SweepStore(tmp_path / "p", create=False)
+        assert len(store._batch_paths("")) == 20
+
+        decoded: list = []
+        real_cols = SweepStore._batch_cols
+
+        def counting_cols(self, path):
+            decoded.append(path)
+            return real_cols(self, path)
+
+        monkeypatch.setattr(SweepStore, "_batch_cols", counting_cols)
+        wanted = specs[:3]
+        rows = store.load_complete_results(wanted)
+        assert set(rows) == {s.content_hash for s in wanted}
+        # The whole shard is one prefix here; only the wanted rows'
+        # batches decode, not all 20.
+        assert len(set(decoded)) <= len(wanted)
+
 
 class TestMigrate:
     def test_migrate_preserves_digest_and_rows(self, tmp_path):

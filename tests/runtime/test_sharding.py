@@ -212,14 +212,51 @@ class TestMergeMechanics:
         assert "merge_log.json" in before
         count_runs.clear()
 
-        # The grid lists its scenarios in enumeration order, the merged
-        # manifest shard by shard: the same scenarios, so nothing is
-        # rewritten.
-        resumed = run_grid(grid.expand(), resume=merged_dir, executor="serial")
+        # A resume listing the scenarios in the merged manifest's order
+        # (shard by shard) finds nothing to write.
+        order = SweepStore(merged_dir, create=False).manifest_hashes()
+        specs = sorted(grid.expand(), key=lambda s: order.index(s.content_hash))
+        resumed = run_grid(specs, resume=merged_dir, executor="serial")
         assert count_runs == []
         assert store_files(merged_dir) == before
         assert resumed.digest() == single.digest()
         assert SweepStore(merged_dir, create=False).digest() == single.digest()
+
+    def test_resume_of_merged_store_takes_the_study_order_once(
+        self, tmp_path, count_runs, store_files
+    ):
+        from repro.api import SolverRef, Study, StudyConfig
+
+        study = Study(StudyConfig(
+            name="merged-order",
+            problems=(("jacobi", {"n": 12}),),
+            solver=SolverRef(max_iterations=200),
+            delays=("zero", "uniform"),
+            n_seeds=3,
+        ))
+        parts = [study.run(out=tmp_path / f"s{i}", shard=(i, 2)) for i in range(2)]
+        merged_dir = tmp_path / "merged"
+        SweepStore(merged_dir).merge(*(part.store for part in parts))
+        grid_order = [s.content_hash for s in study.specs()]
+        # The merged manifest lists shard 0's scenarios, then shard 1's.
+        assert SweepStore(merged_dir, create=False).manifest_hashes() != grid_order
+        count_runs.clear()
+
+        # The first resume runs nothing but rewrites the manifest in the
+        # study's order, so the store's readers agree with the fleet.
+        resumed = study.resume(out=merged_dir)
+        assert count_runs == []
+        assert [r.spec.content_hash for r in resumed.results] == grid_order
+        stored = study.result(merged_dir).fleet.materialize()
+        assert [r.spec.content_hash for r in stored.results] == grid_order
+        assert SweepStore(merged_dir, create=False).manifest_hashes() == grid_order
+
+        # From then on a resume leaves every byte as it is.
+        before = store_files(merged_dir)
+        again = study.resume(out=merged_dir)
+        assert count_runs == []
+        assert store_files(merged_dir) == before
+        assert again.digest() == resumed.digest()
 
 @pytest.mark.slow
 class TestTwoShardAcceptance:

@@ -400,6 +400,27 @@ class TestOnePassResume:
         fleet = FleetResult.from_json((tmp_path / "s" / "fleet.json").read_text())
         assert fleet.scenario_count == len(specs)
 
+    def test_reordered_resume_rewrites_manifest_once(
+        self, tmp_path, count_runs, store_files
+    ):
+        specs = list(_grid(n_seeds=3).expand())
+        store = SweepStore(tmp_path / "s")
+        run_grid(specs, store=store, executor="serial")
+        count_runs.clear()
+        # The same scenarios in another order: nothing runs, but the
+        # store takes the new order, so its rows read back in it.
+        reordered = specs[::-1]
+        resumed = run_grid(reordered, resume=tmp_path / "s", executor="serial")
+        assert count_runs == []
+        stored = SweepStore(tmp_path / "s", create=False)
+        assert stored.manifest_hashes() == [s.content_hash for s in reordered]
+        assert [r.key for r in stored.fleet_result().results] == \
+            [r.key for r in resumed.results] == [s.key for s in reordered]
+        before = store_files(tmp_path / "s")
+        run_grid(reordered, resume=tmp_path / "s", executor="serial")
+        assert count_runs == []
+        assert store_files(tmp_path / "s") == before
+
     def test_resume_with_other_specs_rewrites_manifest(self, tmp_path, count_runs):
         specs = list(_grid(n_seeds=3).expand())
         store = SweepStore(tmp_path / "s")
